@@ -1,16 +1,22 @@
-// Append-only record storage behind the network KV front-end, plus the
-// order-preserving escape that maps arbitrary wire keys onto the tries'
-// prefix-free key space.
+// Record storage behind the network KV front-end, plus the order-preserving
+// escape that maps arbitrary wire keys onto the tries' prefix-free key space.
 //
 // The tries in this repository store 63-bit values and re-derive key bytes
 // through a KeyExtractor (common/extractors.h).  The server therefore keeps
-// every PUT as an immutable record { raw wire key, escaped trie key, u64
-// value } in an append-only arena and indexes the RECORD ID: the extractor
-// returns the escaped key bytes owned by the record, GET resolves id ->
-// value, SCAN resolves id -> (raw key, value).  Overwrites and deletes
-// leave the superseded record behind (log-structured; reclaiming dead
-// records is future work — ServerStats reports live vs appended so the
-// growth is visible).
+// each key as a record { raw wire key, escaped trie key, u64 value } and
+// indexes the RECORD ID: the extractor returns the escaped key bytes owned
+// by the record, GET resolves id -> value, SCAN resolves id -> (raw key,
+// value).  A record's key bytes never change once appended; its value is
+// an atomic that a PUT to an existing key overwrites in place, so an
+// overwrite leaves both the id and the trie alone (DESIGN.md §12).  Only a
+// PUT that misses the index appends a record and upserts its id.  A DELETE
+// removes the id from the index but leaves the record behind: dead records
+// are not reclaimed yet, so the store grows with inserts, never with
+// overwrites.  ServerStats::records_appended reports the total.
+//
+// Capacity is bounded (2^30 records by default; the constructor takes a
+// smaller chunk budget for tests).  TryAppend reports exhaustion; Append
+// is for callers that cannot handle it and aborts with a message.
 //
 // Key escape.  Trie keys must be prefix-free (common/key.h); wire keys are
 // arbitrary bytes, so "append a terminator" alone is not enough ("a\0" vs
@@ -26,23 +32,30 @@
 // form exceeds hot::kMaxKeyBytes are rejected before touching the index
 // (protocol kKeyTooLong).
 //
-// Concurrency: appends take a mutex (PUT throughput is bounded by the
-// trie's COW writers anyway); reads are lock-free.  A reader only ever
-// resolves ids it obtained from the index, and the record's bytes are fully
-// written before the id is published through the trie's release store, so
-// the index's own acquire/release synchronization carries the record's
-// visibility (the chunk directory uses acquire/release atomics for the same
-// reason — a reader may enter a chunk its own thread never saw appended).
+// Concurrency: appends take a mutex; reads are lock-free.  A reader only
+// ever resolves ids it obtained from the index, and the record's bytes are
+// fully written before the id is published through the trie's release
+// store, so the index's own acquire/release synchronization carries the
+// record's visibility (the chunk directory uses acquire/release atomics for
+// the same reason — a reader may enter a chunk its own thread never saw
+// appended).  Values are read with acquire loads and overwritten with
+// acq_rel exchanges; the server serializes writers of one key with its
+// write stripes, so the store itself does not order competing overwrites.
 
 #ifndef HOT_NET_RECORD_STORE_H_
 #define HOT_NET_RECORD_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/extractors.h"
@@ -52,18 +65,19 @@
 namespace hot {
 namespace net {
 
-// Appends the escaped (prefix-free, order-preserving) form of `raw` to
-// *out.  Returns the number of bytes appended.
-inline size_t EscapeKey(KeyRef raw, std::vector<uint8_t>* out) {
-  size_t before = out->size();
+// Writes the escaped (prefix-free, order-preserving) form of `raw` to
+// `out`, which must have room for EscapedKeyLength(raw) bytes.  Returns the
+// number of bytes written.
+inline size_t EscapeKey(KeyRef raw, uint8_t* out) {
+  uint8_t* p = out;
   for (size_t i = 0; i < raw.size(); ++i) {
     uint8_t b = raw.data()[i];
-    out->push_back(b);
-    if (b == 0x00) out->push_back(0x01);
+    *p++ = b;
+    if (b == 0x00) *p++ = 0x01;
   }
-  out->push_back(0x00);
-  out->push_back(0x00);
-  return out->size() - before;
+  *p++ = 0x00;
+  *p++ = 0x00;
+  return static_cast<size_t>(p - out);
 }
 
 // Escaped length without materializing: raw length + embedded NULs + 2.
@@ -81,10 +95,18 @@ inline bool KeyFitsIndex(KeyRef raw) {
   return EscapedKeyLength(raw) <= kMaxKeyBytes;
 }
 
+// Appends the escaped form of `raw` to *out.  Returns the number of bytes
+// appended.
+inline size_t EscapeKey(KeyRef raw, std::vector<uint8_t>* out) {
+  size_t before = out->size();
+  out->resize(before + EscapedKeyLength(raw));
+  return EscapeKey(raw, out->data() + before);
+}
+
 class RecordStore {
  public:
   struct Record {
-    uint64_t value;
+    std::atomic<uint64_t> value;  // overwritten in place by PUT
     uint32_t raw_len;
     uint32_t esc_len;
     const uint8_t* bytes;  // raw_len raw bytes then esc_len escaped bytes
@@ -93,18 +115,25 @@ class RecordStore {
     KeyRef escaped_key() const { return KeyRef(bytes + raw_len, esc_len); }
   };
 
-  RecordStore() = default;
+  static constexpr size_t kChunkRecords = 1u << 14;  // 16K records per chunk
+  static constexpr size_t kMaxChunks = 1u << 16;     // 2^30 records total
+
+  // `max_chunks` (1..kMaxChunks) caps capacity at max_chunks *
+  // kChunkRecords records; only tests pass less than the default.
+  explicit RecordStore(size_t max_chunks = kMaxChunks)
+      : max_chunks_(std::clamp<size_t>(max_chunks, 1, kMaxChunks)) {}
   RecordStore(const RecordStore&) = delete;
   RecordStore& operator=(const RecordStore&) = delete;
 
-  // Appends one record; returns its id (dense, starting at 0, < 2^63 —
-  // valid as a trie value).  `raw` must satisfy KeyFitsIndex.
-  uint64_t Append(KeyRef raw, uint64_t value) {
+  // Appends one record and returns its id (dense, starting at 0, < 2^63 —
+  // valid as a trie value), or nullopt once capacity() records exist.
+  // `raw` must satisfy KeyFitsIndex.
+  std::optional<uint64_t> TryAppend(KeyRef raw, uint64_t value) {
     assert(KeyFitsIndex(raw));
     std::lock_guard<std::mutex> guard(append_mu_);
     uint64_t id = size_.load(std::memory_order_relaxed);
+    if (id >= capacity()) return std::nullopt;
     size_t chunk = static_cast<size_t>(id / kChunkRecords);
-    assert(chunk < kMaxChunks && "RecordStore capacity exhausted");
     Chunk* c = chunks_[chunk].load(std::memory_order_relaxed);
     if (c == nullptr) {
       c = new Chunk();
@@ -124,30 +153,45 @@ class RecordStore {
       dst = c->overflow.back().get();
     }
     if (raw.size() != 0) std::memcpy(dst, raw.data(), raw.size());
-    std::vector<uint8_t> esc;
-    esc.reserve(esc_len);
-    EscapeKey(raw, &esc);
-    std::memcpy(dst + raw.size(), esc.data(), esc.size());
-    rec.value = value;
+    EscapeKey(raw, dst + raw.size());
+    rec.value.store(value, std::memory_order_relaxed);
     rec.raw_len = static_cast<uint32_t>(raw.size());
-    rec.esc_len = static_cast<uint32_t>(esc.size());
+    rec.esc_len = static_cast<uint32_t>(esc_len);
     rec.bytes = dst;
     size_.store(id + 1, std::memory_order_relaxed);
     bytes_.fetch_add(need, std::memory_order_relaxed);
     return id;
   }
 
-  // Lock-free; `id` must come from a successful Append whose publication
+  // TryAppend for callers with no way to report exhaustion: aborts with a
+  // message instead of returning nullopt.
+  uint64_t Append(KeyRef raw, uint64_t value) {
+    std::optional<uint64_t> id = TryAppend(raw, value);
+    if (!id) {
+      std::fprintf(stderr, "RecordStore: capacity of %llu records exhausted\n",
+                   static_cast<unsigned long long>(capacity()));
+      std::abort();
+    }
+    return *id;
+  }
+
+  // Lock-free; `id` must come from a successful append whose publication
   // the caller observed (typically through the index).
   const Record& At(uint64_t id) const {
     const Chunk* c = chunks_[static_cast<size_t>(id / kChunkRecords)].load(
         std::memory_order_acquire);
     return c->records[id % kChunkRecords];
   }
+  Record& At(uint64_t id) {
+    return const_cast<Record&>(std::as_const(*this).At(id));
+  }
 
   // Appended record count / key-byte footprint (quiescent-only exactness).
   uint64_t appended() const { return size_.load(std::memory_order_relaxed); }
   uint64_t key_bytes() const { return bytes_.load(std::memory_order_relaxed); }
+  uint64_t capacity() const {
+    return static_cast<uint64_t>(max_chunks_) * kChunkRecords;
+  }
 
   ~RecordStore() {
     for (auto& slot : chunks_) {
@@ -156,9 +200,7 @@ class RecordStore {
   }
 
  private:
-  static constexpr size_t kChunkRecords = 1u << 14;  // 16K records per chunk
   static constexpr size_t kChunkBytes = kChunkRecords * 64;
-  static constexpr size_t kMaxChunks = 1u << 16;  // 2^30 records total
 
   struct Chunk {
     Record records[kChunkRecords];
@@ -167,6 +209,7 @@ class RecordStore {
     std::vector<std::unique_ptr<uint8_t[]>> overflow;
   };
 
+  const size_t max_chunks_;
   std::mutex append_mu_;
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
   std::atomic<uint64_t> size_{0};

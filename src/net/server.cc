@@ -17,7 +17,9 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <string>
 
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
@@ -56,6 +58,8 @@ struct KvServer::AtomicStats {
   std::atomic<uint64_t> protocol_errors{0};
   std::atomic<uint64_t> bad_requests{0};
   std::atomic<uint64_t> keys_too_long{0};
+  std::atomic<uint64_t> puts_in_place{0};
+  std::atomic<uint64_t> record_store_full{0};
   std::atomic<uint64_t> wal_commit_failures{0};
   std::atomic<uint64_t> snapshots_taken{0};
   std::atomic<uint64_t> snapshot_failures{0};
@@ -91,6 +95,9 @@ ServerStats KvServer::StatsSnapshot() const {
   s.protocol_errors = a.protocol_errors.load();
   s.bad_requests = a.bad_requests.load();
   s.keys_too_long = a.keys_too_long.load();
+  s.records_appended = store_.appended();
+  s.puts_in_place = a.puts_in_place.load();
+  s.record_store_full = a.record_store_full.load();
   s.wal_commit_failures = a.wal_commit_failures.load();
   s.snapshots_taken = a.snapshots_taken.load();
   s.snapshot_failures = a.snapshot_failures.load();
@@ -393,26 +400,49 @@ struct KvServer::Worker {
         // Log before apply, both under the key's write stripe: the WAL's
         // LSN order and the index's apply order agree per key, so
         // recovery's last-LSN-wins replay reproduces exactly what clients
-        // observed.  The durability wait (Commit) happens after the stripe
-        // is released — group commit still amortizes across keys — and a
-        // commit failure refuses the ack: never acknowledge what recovery
-        // could not reproduce.
+        // observed.  A key already in the index is overwritten in place —
+        // same record, same id, trie untouched; only a miss appends a
+        // record and upserts its id.  A miss on a full record store is
+        // refused before anything is logged.  The durability wait (Commit)
+        // happens after the stripe is released — group commit still
+        // amortizes across keys — and a commit failure refuses the ack:
+        // never acknowledge what recovery could not reproduce.
         uint64_t lsn = 0;
-        std::optional<uint64_t> prev_id;
+        std::optional<uint64_t> prev;
         {
           std::unique_lock<std::mutex> stripe =
               server->WriteStripeLock(req.key);
+          esc_scratch.clear();
+          EscapeKey(req.key, &esc_scratch);
+          std::optional<uint64_t> id = server->index_->Lookup(
+              KeyRef(esc_scratch.data(), esc_scratch.size()));
+          const bool in_place = id.has_value();
+          if (!in_place) {
+            id = server->store_.TryAppend(req.key, req.value);
+            if (!id) {
+              st.record_store_full.fetch_add(1, std::memory_order_relaxed);
+              EncodeErrorReply(&c->out, req.id, kServerError,
+                               "record store full");
+              st.replies_out.fetch_add(1, std::memory_order_relaxed);
+              Touch(c);
+              break;
+            }
+          }
           if (server->wal_ != nullptr) {
             lsn = server->wal_->Append(persist::kWalPut, req.key, req.value);
           }
-          uint64_t id = server->store_.Append(req.key, req.value);
-          KeyRef esc = server->store_.At(id).escaped_key();
-          prev_id = server->index_->Upsert(id, esc);
+          if (in_place) {
+            prev = server->store_.At(*id).value.exchange(
+                req.value, std::memory_order_acq_rel);
+            st.puts_in_place.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            // The stripe excludes every other writer of this key, so the
+            // miss still holds and the upsert inserts.
+            server->index_->Upsert(*id, server->store_.At(*id).escaped_key());
+          }
         }
         if (!WalCommit(c, req.id, lsn)) break;
-        uint64_t prev =
-            prev_id ? server->store_.At(*prev_id).value : uint64_t{0};
-        EncodePutReply(&c->out, req.id, !prev_id.has_value(), prev);
+        EncodePutReply(&c->out, req.id, !prev.has_value(), prev.value_or(0));
         st.replies_out.fetch_add(1, std::memory_order_relaxed);
         Touch(c);
         break;
@@ -455,7 +485,8 @@ struct KvServer::Worker {
             KeyRef(esc_scratch.data(), esc_scratch.size()), limit,
             [&](uint64_t id) {
               const RecordStore::Record& rec = server->store_.At(id);
-              builder.Add(rec.raw_key(), rec.value);
+              builder.Add(rec.raw_key(),
+                          rec.value.load(std::memory_order_acquire));
             });
         builder.Finish();
         st.scan_items.fetch_add(builder.count, std::memory_order_relaxed);
@@ -500,7 +531,9 @@ struct KvServer::Worker {
       if (c->dead) continue;  // peer gone before its answer materialized
       bool found = batch_out[i].has_value();
       uint64_t value =
-          found ? server->store_.At(*batch_out[i]).value : uint64_t{0};
+          found ? server->store_.At(*batch_out[i]).value.load(
+                      std::memory_order_acquire)
+                : uint64_t{0};
       EncodeGetReply(&c->out, pending[i].req_id, found, value);
       st.replies_out.fetch_add(1, std::memory_order_relaxed);
       Touch(c);
@@ -727,7 +760,18 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
   for (const ps::RecoveredRecord& r : rec.records) {
     // Every record passed KeyFitsIndex when it was first accepted.
     assert(KeyFitsIndex(r.key_ref()));
-    ids.push_back(store_.Append(r.key_ref(), r.value));
+    std::optional<uint64_t> id = store_.TryAppend(r.key_ref(), r.value);
+    if (!id) {
+      if (error != nullptr) {
+        *error = "data dir " + options_.data_dir + " holds " +
+                 std::to_string(n) +
+                 " live keys, more than the record store capacity of " +
+                 std::to_string(store_.capacity()) +
+                 " records; split its key range across several servers";
+      }
+      return false;
+    }
+    ids.push_back(*id);
   }
 
   if (n > 0) {
@@ -812,12 +856,13 @@ bool KvServer::TriggerSnapshot(std::string* error) {
     return fail(err);
   }
   // Global ordered scan; per-shard epoch protection inside the index.  A
-  // key upserted mid-scan contributes whichever record id the scan caught
-  // — either version replays to the same final state.
+  // key written mid-scan (lsn > cut) contributes whichever value or record
+  // the scan caught — the new segment replays it to the same final state.
   index_->ScanFrom(KeyRef(), std::numeric_limits<size_t>::max(),
                    [&](uint64_t id) {
                      const RecordStore::Record& r = store_.At(id);
-                     writer.Add(r.raw_key(), r.value);
+                     writer.Add(r.raw_key(),
+                                r.value.load(std::memory_order_acquire));
                    });
   if (!writer.Finish(cut, &err)) return fail(err);
 

@@ -118,6 +118,16 @@ struct ServerStats {
   uint64_t bad_requests = 0;     // contained per-frame errors
   uint64_t keys_too_long = 0;
 
+  // Record store.  records_appended counts every record ever appended
+  // (recovery refill included); a PUT to a key the index already holds
+  // overwrites its record's value in place (puts_in_place) instead of
+  // appending, so records_appended - live keys is the dead-record count
+  // that DELETEs leave behind.  record_store_full counts PUTs refused with
+  // kServerError because the store hit its capacity.
+  uint64_t records_appended = 0;
+  uint64_t puts_in_place = 0;
+  uint64_t record_store_full = 0;
+
   // Durability counters; all zero on a volatile server.  The WAL fields
   // mirror persist::WalStats (group_committed / fsyncs is the group-commit
   // amortization).
@@ -201,19 +211,18 @@ class KvServer {
   bool RecoverAndOpenWal(std::string* error);
   void SnapshotLoop();  // background auto-snapshot trigger
 
-  // Durable-mode write ordering: the stripe lock covering a key is held
-  // across {WAL append, index apply}, so per-key apply order equals LSN
-  // order and recovery's last-LSN-wins replay reconstructs exactly the
-  // state clients observed — without it, two workers racing on one key
-  // could ack A's value live but replay B's after a crash.  Returns an
-  // unlocked (empty) guard on a volatile server: with no WAL there is no
-  // LSN order to agree with, and the index is internally synchronized.
+  // Per-key write ordering: the stripe lock covering a key is held across
+  // {index lookup, WAL append, apply}.  That makes a PUT's "overwrite in
+  // place if present, else append + upsert" decision atomic against every
+  // other PUT/DELETE of the key, and in durable mode makes per-key apply
+  // order equal LSN order, so recovery's last-LSN-wins replay reconstructs
+  // exactly the state clients observed — without it, two workers racing on
+  // one key could ack A's value live but replay B's after a crash.
   // 32 stripes, not more: the snapshot rotate quiesces by holding ALL of
   // them (plus the snapshot and WAL mutexes), and TSan's deadlock
   // detector hard-caps simultaneously held locks per thread at 64.
   static constexpr size_t kWriteStripes = 32;
   std::unique_lock<std::mutex> WriteStripeLock(KeyRef key) {
-    if (wal_ == nullptr) return {};
     uint64_t h = 1469598103934665603ull;  // FNV-1a over the raw key
     for (size_t i = 0; i < key.size(); ++i) {
       h = (h ^ key.data()[i]) * 1099511628211ull;

@@ -254,7 +254,9 @@ TEST(HotBatchTest, LowerBoundBatchMatchesScalar) {
         batched.Next();
         scalar.Next();
         ASSERT_EQ(batched.valid(), scalar.valid());
-        if (scalar.valid()) ASSERT_EQ(batched.value(), scalar.value());
+        if (scalar.valid()) {
+          ASSERT_EQ(batched.value(), scalar.value());
+        }
       }
     }
   }

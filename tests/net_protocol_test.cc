@@ -10,7 +10,8 @@
 //     read one byte at a time must parse identically to bulk I/O;
 //   * mid-request disconnects: connections abandoned with half a frame
 //     buffered must be fully reaped (no fd/buffer leak, proven through
-//     ServerStats::connections_open()).
+//     ServerStats::connections_open());
+//   * key escape order/prefix properties and record-store exhaustion.
 
 #include <errno.h>
 #include <netinet/in.h>
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -307,6 +309,46 @@ TEST(NetKeyEscape, OrderPreservingAndPrefixFree) {
           << "escaped form is a prefix of another";
     }
   }
+}
+
+// --- record store (net/record_store.h) -------------------------------------
+
+// A one-chunk budget makes exhaustion reachable: TryAppend must refuse the
+// record past capacity without touching the ones already stored, and
+// Append must abort with a message rather than write out of bounds.
+TEST(NetRecordStore, TryAppendReportsExhaustion) {
+  RecordStore store(/*max_chunks=*/1);
+  ASSERT_EQ(store.capacity(), RecordStore::kChunkRecords);
+  auto key_of = [](uint64_t i) {
+    std::string k = "rec-" + std::to_string(i);
+    k.push_back('\0');  // exercises the escape's NUL expansion
+    k += std::to_string(i % 7);
+    return k;
+  };
+  for (uint64_t i = 0; i < store.capacity(); ++i) {
+    std::string k = key_of(i);
+    std::optional<uint64_t> id = store.TryAppend(KeyRef(k), i * 3);
+    ASSERT_TRUE(id.has_value()) << i;
+    ASSERT_EQ(*id, i);
+  }
+  EXPECT_FALSE(store.TryAppend(K("one-too-many"), 1).has_value());
+  EXPECT_EQ(store.appended(), store.capacity());
+  for (uint64_t i = 0; i < store.capacity(); i += 997) {
+    std::string k = key_of(i);
+    std::vector<uint8_t> esc;
+    EscapeKey(KeyRef(k), &esc);
+    const RecordStore::Record& rec = store.At(i);
+    EXPECT_EQ(rec.raw_key().Compare(KeyRef(k)), 0) << i;
+    EXPECT_EQ(rec.escaped_key().Compare(KeyRef(esc.data(), esc.size())), 0)
+        << i;
+    EXPECT_EQ(rec.value.load(), i * 3) << i;
+  }
+  // In-place overwrite hands back the old value and keeps the key.
+  EXPECT_EQ(store.At(5).value.exchange(77), 15u);
+  EXPECT_EQ(store.At(5).value.load(), 77u);
+  EXPECT_EQ(store.At(5).raw_key().Compare(KeyRef(key_of(5))), 0);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(store.Append(K("one-too-many"), 1), "capacity");
 }
 
 // --- live-server harness -----------------------------------------------------

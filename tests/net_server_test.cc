@@ -14,12 +14,15 @@
 //   * 4 client threads hammering ONE server concurrently over disjoint key
 //     ranges, each diffing its own replies against its own oracle, scans
 //     checked for global sortedness and key/value consistency, followed by
-//     a quiesced full-content audit against the union oracle.
+//     a quiesced full-content audit against the union oracle;
+//   * 4 client threads overwriting shared keys: values swap in place (one
+//     record per key) and every PUT's prev value fits one per-key chain.
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <optional>
 #include <random>
@@ -370,6 +373,135 @@ TEST(NetServer, FourClientThreadsDifferential) {
   EXPECT_GT(s.batch_drains, 0u);
   EXPECT_EQ(s.protocol_errors, 0u);
   EXPECT_EQ(s.bad_requests, 0u);
+}
+
+// --- in-place overwrite under contention -----------------------------------
+
+// 4 client threads over 2 workers overwrite K shared keys.  A PUT to a key
+// the index holds must swap the value inside its record, so the store ends
+// with exactly K records however many overwrites land.  Every value is
+// unique, so the (prev -> value) edges of one key's PUTs must form a single
+// chain from its creating PUT through every other PUT — a lost or doubled
+// overwrite breaks the chain — with each thread's own PUTs in program order
+// along it, and the chain's end is the value a final GET serves.
+TEST(NetServer, OverwritesSwapValuesInPlace) {
+  constexpr unsigned kThreads = 4;
+  constexpr uint64_t kKeys = 16;
+  constexpr int kPutsPerThread = 2000;
+  auto key_of = [](uint64_t k) { return "ow-" + std::to_string(k); };
+  // Value layout: key index << 40 | thread << 32 | per-thread sequence.
+  auto value_of = [](uint64_t k, unsigned t, int seq) {
+    return k << 40 | uint64_t{t} << 32 | static_cast<uint64_t>(seq);
+  };
+
+  KvServer server(SmallServer(/*workers=*/2));
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+
+  struct PutRecord {
+    uint64_t key;
+    uint64_t value;
+    bool created;
+    uint64_t prev;
+  };
+  std::vector<std::vector<PutRecord>> history(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::latch start(kThreads);
+  auto worker = [&](unsigned t) {
+    KvClient c;
+    std::string cerr;
+    bool connected = c.Connect("127.0.0.1", server.port(), &cerr);
+    start.arrive_and_wait();
+    if (!connected) {
+      errors[t] = "connect: " + cerr;
+      return;
+    }
+    std::mt19937_64 rng(77 + t);
+    for (int i = 0; i < kPutsPerThread; ++i) {
+      // Every thread creates the keys in the same order, so the creating
+      // PUTs race each other; random keys after that.
+      uint64_t k = i < static_cast<int>(kKeys) ? i : rng() % kKeys;
+      uint64_t v = value_of(k, t, i);
+      Reply r;
+      if (!c.Put(K(key_of(k)), v, &r, &cerr) || !r.ok()) {
+        errors[t] = "put " + std::to_string(i) + ": " + cerr;
+        return;
+      }
+      history[t].push_back({k, v, r.created, r.prev});
+      if (i % 4 == 3) {  // GETs race the overwrites; any value seen must
+        uint64_t g = rng() % kKeys;  // have been written to that key
+        if (!c.Get(K(key_of(g)), &r, &cerr)) {
+          errors[t] = "get: " + cerr;
+          return;
+        }
+        if (r.ok() && r.value >> 40 != g) {
+          errors[t] = "GET returned another key's value";
+          return;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (auto& th : threads) th.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(errors[t].empty()) << "thread " << t << ": " << errors[t];
+  }
+
+  std::vector<std::vector<PutRecord>> per_key(kKeys);
+  for (const auto& h : history) {
+    for (const PutRecord& p : h) per_key[p.key].push_back(p);
+  }
+  KvClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+  uint64_t keys_written = 0;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    const std::vector<PutRecord>& puts = per_key[k];
+    if (puts.empty()) continue;
+    ++keys_written;
+    std::map<uint64_t, uint64_t> next;  // prev value -> value that replaced it
+    std::optional<uint64_t> head;
+    for (const PutRecord& p : puts) {
+      if (p.created) {
+        ASSERT_FALSE(head.has_value()) << "key " << k << " created twice";
+        head = p.value;
+      } else {
+        ASSERT_EQ(p.prev >> 40, k) << "prev from another key";
+        ASSERT_TRUE(next.emplace(p.prev, p.value).second)
+            << "key " << k << ": value " << p.prev << " overwritten twice";
+      }
+    }
+    ASSERT_TRUE(head.has_value()) << "key " << k << " never created";
+    std::map<unsigned, uint64_t> last_seq;  // thread -> last sequence seen
+    uint64_t cur = *head;
+    size_t walked = 1;
+    while (true) {
+      unsigned t = static_cast<unsigned>(cur >> 32 & 0xff);
+      uint64_t seq = cur & 0xffffffffu;
+      auto seen = last_seq.find(t);
+      ASSERT_TRUE(seen == last_seq.end() || seen->second < seq)
+          << "key " << k << ": thread " << t << " PUTs out of program order";
+      last_seq[t] = seq;
+      auto it = next.find(cur);
+      if (it == next.end()) break;
+      cur = it->second;
+      ++walked;
+    }
+    ASSERT_EQ(walked, puts.size()) << "key " << k << ": chain broken";
+    Reply r;
+    ASSERT_TRUE(c.Get(K(key_of(k)), &r, &err)) << err;
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value, cur) << "key " << k << " serves a superseded value";
+  }
+
+  const uint64_t total = uint64_t{kThreads} * kPutsPerThread;
+  EXPECT_EQ(server.store().appended(), keys_written);
+  EXPECT_EQ(server.live_keys(), keys_written);
+  ServerStats s = server.StatsSnapshot();
+  EXPECT_EQ(s.puts, total);
+  EXPECT_EQ(s.records_appended, keys_written);
+  EXPECT_EQ(s.puts_in_place, total - keys_written);
+  EXPECT_EQ(s.record_store_full, 0u);
 }
 
 }  // namespace

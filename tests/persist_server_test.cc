@@ -1,12 +1,14 @@
 // Durable-server tier: KvServer with a data directory, exercised over real
 // loopback sockets (net/client.h).  Pins the restart contract — every
 // acked write before a clean Stop() is served after the next Start() — in
-// all three durability modes, the snapshot trigger + recovery path, the
-// manual TriggerSnapshot() hook, and that a bad data dir fails Start()
-// loudly instead of serving an empty non-durable index.
+// all three durability modes, in-place overwrites across a mid-stream
+// snapshot, the snapshot trigger + recovery path, the manual
+// TriggerSnapshot() hook, and that a bad data dir fails Start() loudly
+// instead of serving an empty non-durable index.
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -189,6 +191,75 @@ TEST(PersistServer, ConcurrentSameKeyWritesRecoverToLiveValue) {
       EXPECT_EQ(reply.value, live_value);
     }
     server.Stop();
+  }
+}
+
+// In-place overwrites across a fuzzy snapshot, in every durability mode.
+// An overwrite changes a record's value without touching the index, so the
+// snapshot scan can read a value newer than its cut; the WAL segment opened
+// at the cut replays that write to the same value.  The restarted image
+// must equal the last acked value of every key, and the live server must
+// have appended exactly one record per key.
+TEST(PersistServer, InPlaceOverwritesAcrossSnapshotRecover) {
+  constexpr int kKeys = 100;
+  constexpr int kRounds = 40;
+  for (persist::Durability mode :
+       {persist::Durability::kNone, persist::Durability::kAsync,
+        persist::Durability::kSync}) {
+    SCOPED_TRACE(persist::DurabilityName(mode));
+    TempDir dir;
+    std::map<std::string, uint64_t> oracle;
+    {
+      ServerOptions opt = DurableServer(dir.path, mode);
+      opt.workers = 2;
+      KvServer server(opt);
+      std::string err;
+      ASSERT_TRUE(server.Start(&err)) << err;
+      std::atomic<int> rounds_done{0};
+      std::string werr;
+      std::thread writer([&] {
+        KvClient c;
+        if (!c.Connect("127.0.0.1", server.port(), &werr)) return;
+        Reply reply;
+        for (int r = 0; r < kRounds; ++r) {
+          for (int i = 0; i < kKeys; ++i) {
+            uint64_t v = static_cast<uint64_t>(r) * 1000 + i;
+            if (!c.Put(K(Key(i)), v, &reply, &werr) || !reply.ok() ||
+                reply.created != (r == 0) ||
+                (r > 0 && reply.prev != v - 1000)) {
+              werr += " bad PUT reply at round " + std::to_string(r);
+              return;
+            }
+            oracle[Key(i)] = v;
+          }
+          rounds_done.store(r + 1);
+        }
+      });
+      while (rounds_done.load() < kRounds / 2 && werr.empty()) {
+        std::this_thread::yield();
+      }
+      ASSERT_TRUE(server.TriggerSnapshot(&err)) << err;  // mid-stream
+      writer.join();
+      ASSERT_TRUE(werr.empty()) << werr;
+      EXPECT_EQ(server.store().appended(), static_cast<uint64_t>(kKeys));
+      ServerStats stats = server.StatsSnapshot();
+      EXPECT_EQ(stats.puts_in_place,
+                static_cast<uint64_t>(kKeys) * (kRounds - 1));
+      EXPECT_EQ(stats.snapshots_taken, 1u);
+      server.Stop();
+    }
+    {
+      KvServer server(DurableServer(dir.path, mode));
+      std::string err;
+      ASSERT_TRUE(server.Start(&err)) << err;
+      EXPECT_TRUE(server.recovery().snapshot_loaded);
+      EXPECT_EQ(server.recovery().records, oracle.size());
+      EXPECT_EQ(server.store().appended(), oracle.size());
+      KvClient c;
+      ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+      EXPECT_EQ(ScanAll(&c), oracle);
+      server.Stop();
+    }
   }
 }
 
