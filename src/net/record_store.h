@@ -14,6 +14,20 @@
 // are not reclaimed yet, so the store grows with inserts, never with
 // overwrites.  ServerStats::records_appended reports the total.
 //
+// Key bytes are kept once where the escape allows it.  A key with no 0x00
+// byte escapes to itself followed by the terminator 00 00, so the record
+// stores only `raw || 00 00` (raw_len + 2 bytes): the raw key is its first
+// raw_len bytes and the escaped key is all of them.  A key containing a NUL
+// escapes to different bytes and keeps the raw form followed by the escaped
+// form.  esc_len == raw_len + 2 holds exactly for NUL-free keys, so the two
+// layouts need no tag.  key_bytes() counts the bytes so stored.
+//
+// The bytes come from a store-wide bump allocator of 1 MiB blocks, taken
+// under the append mutex.  Blocks are not zero-filled, so a block's pages
+// become resident only as keys are written into them.  A key that does not
+// fit the current block's remainder starts a new block; keys are at most
+// 2 * kMaxKeyBytes bytes, so that waste stays under 0.05%.
+//
 // Capacity is bounded (2^30 records by default; the constructor takes a
 // smaller chunk budget for tests).  TryAppend reports exhaustion; Append
 // is for callers that cannot handle it and aborts with a message.
@@ -109,14 +123,21 @@ class RecordStore {
     std::atomic<uint64_t> value;  // overwritten in place by PUT
     uint32_t raw_len;
     uint32_t esc_len;
-    const uint8_t* bytes;  // raw_len raw bytes then esc_len escaped bytes
+    // NUL-free key: raw_len raw bytes then 00 00, shared by both views.
+    // Otherwise: raw_len raw bytes then esc_len escaped bytes.
+    const uint8_t* bytes;
 
+    bool shares_bytes() const { return esc_len == raw_len + 2; }
     KeyRef raw_key() const { return KeyRef(bytes, raw_len); }
-    KeyRef escaped_key() const { return KeyRef(bytes + raw_len, esc_len); }
+    KeyRef escaped_key() const {
+      return KeyRef(bytes + (shares_bytes() ? 0 : raw_len), esc_len);
+    }
   };
 
   static constexpr size_t kChunkRecords = 1u << 14;  // 16K records per chunk
   static constexpr size_t kMaxChunks = 1u << 16;     // 2^30 records total
+  static constexpr size_t kBlockBytes = 1u << 20;    // key-byte block size
+  static_assert(2 * kMaxKeyBytes <= kBlockBytes, "a key must fit one block");
 
   // `max_chunks` (1..kMaxChunks) caps capacity at max_chunks *
   // kChunkRecords records; only tests pass less than the default.
@@ -140,20 +161,17 @@ class RecordStore {
       chunks_[chunk].store(c, std::memory_order_release);
     }
     Record& rec = c->records[id % kChunkRecords];
-    // Key bytes live in the chunk-local byte arena when they fit, else in
-    // their own allocation; either way the pointer never moves afterwards.
     size_t esc_len = EscapedKeyLength(raw);
-    size_t need = raw.size() + esc_len;
-    uint8_t* dst;
-    if (c->bytes_used + need <= kChunkBytes) {
-      dst = c->bytes + c->bytes_used;
-      c->bytes_used += need;
-    } else {
-      c->overflow.push_back(std::make_unique<uint8_t[]>(need));
-      dst = c->overflow.back().get();
-    }
+    bool shared = esc_len == raw.size() + 2;
+    size_t need = shared ? esc_len : raw.size() + esc_len;
+    uint8_t* dst = AllocateKeyBytes(need);
     if (raw.size() != 0) std::memcpy(dst, raw.data(), raw.size());
-    EscapeKey(raw, dst + raw.size());
+    if (shared) {
+      dst[raw.size()] = 0x00;
+      dst[raw.size() + 1] = 0x00;
+    } else {
+      EscapeKey(raw, dst + raw.size());
+    }
     rec.value.store(value, std::memory_order_relaxed);
     rec.raw_len = static_cast<uint32_t>(raw.size());
     rec.esc_len = static_cast<uint32_t>(esc_len);
@@ -186,7 +204,7 @@ class RecordStore {
     return const_cast<Record&>(std::as_const(*this).At(id));
   }
 
-  // Appended record count / key-byte footprint (quiescent-only exactness).
+  // Appended record count / stored key bytes (quiescent-only exactness).
   uint64_t appended() const { return size_.load(std::memory_order_relaxed); }
   uint64_t key_bytes() const { return bytes_.load(std::memory_order_relaxed); }
   uint64_t capacity() const {
@@ -200,20 +218,33 @@ class RecordStore {
   }
 
  private:
-  static constexpr size_t kChunkBytes = kChunkRecords * 64;
-
   struct Chunk {
     Record records[kChunkRecords];
-    uint8_t bytes[kChunkBytes];
-    size_t bytes_used = 0;
-    std::vector<std::unique_ptr<uint8_t[]>> overflow;
   };
+
+  // Bump-allocates `n` (<= kBlockBytes) key bytes; caller holds append_mu_.
+  // The bytes never move afterwards.
+  uint8_t* AllocateKeyBytes(size_t n) {
+    if (n > block_left_) {
+      blocks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(kBlockBytes));
+      block_next_ = blocks_.back().get();
+      block_left_ = kBlockBytes;
+    }
+    uint8_t* p = block_next_;
+    block_next_ += n;
+    block_left_ -= n;
+    return p;
+  }
 
   const size_t max_chunks_;
   std::mutex append_mu_;
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
   std::atomic<uint64_t> size_{0};
   std::atomic<uint64_t> bytes_{0};
+  // Key-byte blocks; guarded by append_mu_ (readers follow Record::bytes).
+  std::vector<std::unique_ptr<uint8_t[]>> blocks_;
+  uint8_t* block_next_ = nullptr;
+  size_t block_left_ = 0;
 };
 
 // KeyExtractor over record ids: the indexed key of record `id` is its

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <chrono>
 #include <limits>
 #include <mutex>
@@ -96,6 +95,7 @@ ServerStats KvServer::StatsSnapshot() const {
   s.bad_requests = a.bad_requests.load();
   s.keys_too_long = a.keys_too_long.load();
   s.records_appended = store_.appended();
+  s.record_key_bytes = store_.key_bytes();
   s.puts_in_place = a.puts_in_place.load();
   s.record_store_full = a.record_store_full.load();
   s.wal_commit_failures = a.wal_commit_failures.load();
@@ -758,8 +758,17 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
   std::vector<uint64_t> ids;
   ids.reserve(n);
   for (const ps::RecoveredRecord& r : rec.records) {
-    // Every record passed KeyFitsIndex when it was first accepted.
-    assert(KeyFitsIndex(r.key_ref()));
+    // Every record passed KeyFitsIndex when it was first accepted, so a
+    // key that does not is a damaged data dir; the record store's block
+    // allocator and the tries both rely on the bound.
+    if (!KeyFitsIndex(r.key_ref())) {
+      if (error != nullptr) {
+        *error = "data dir " + options_.data_dir + " holds a key of " +
+                 std::to_string(r.key_ref().size()) +
+                 " bytes, longer than the index accepts";
+      }
+      return false;
+    }
     std::optional<uint64_t> id = store_.TryAppend(r.key_ref(), r.value);
     if (!id) {
       if (error != nullptr) {

@@ -123,8 +123,11 @@ struct ServerStats {
   // overwrites its record's value in place (puts_in_place) instead of
   // appending, so records_appended - live keys is the dead-record count
   // that DELETEs leave behind.  record_store_full counts PUTs refused with
-  // kServerError because the store hit its capacity.
+  // kServerError because the store hit its capacity.  record_key_bytes is
+  // the key bytes those records hold (RecordStore::key_bytes): escaped
+  // length for a NUL-free key, raw + escaped length otherwise.
   uint64_t records_appended = 0;
+  uint64_t record_key_bytes = 0;
   uint64_t puts_in_place = 0;
   uint64_t record_store_full = 0;
 

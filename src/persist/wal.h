@@ -35,8 +35,11 @@
 // issuing its own fsync.  N concurrent writers therefore cost ~1 fsync per
 // batch, not per write (stats record the amortization).  Durability::kAsync
 // moves the write+fsync to a background flusher (bounded-loss window =
-// flush interval); kNone never fsyncs (the OS page cache still absorbs
-// write()s, so a process crash — not an OS crash — loses nothing).
+// flush interval); kNone never fsyncs and Commit() returns at once, so an
+// acked frame may still sit in the in-process buffer until the flusher's
+// next write() (every flush interval), the write-out threshold, rotation or
+// Close().  A process crash can therefore lose the last interval's acked
+// writes; what reached write() survives a process crash but not an OS one.
 
 #ifndef HOT_PERSIST_WAL_H_
 #define HOT_PERSIST_WAL_H_
@@ -69,7 +72,8 @@ namespace persist {
 // Durability of the acknowledgement: what a client may assume about an
 // acked write if the server dies immediately after replying.
 enum class Durability : uint8_t {
-  kNone,   // buffered write(); survives process death, not OS death
+  kNone,   // in-process buffer, write() per flush interval, never fsync:
+           // a process crash may lose the last interval of acked writes
   kAsync,  // background fdatasync every flush interval (bounded loss)
   kSync,   // group-committed fdatasync before the ack (zero loss)
 };

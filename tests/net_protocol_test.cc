@@ -351,6 +351,75 @@ TEST(NetRecordStore, TryAppendReportsExhaustion) {
   EXPECT_DEATH(store.Append(K("one-too-many"), 1), "capacity");
 }
 
+// Appends `raw` and checks both key views against EscapeKey, plus the
+// layout: a NUL-free key's two views share one `raw || 00 00` copy
+// (escaped length bytes), a NUL-containing key keeps raw then escaped.
+void AppendAndCheck(RecordStore* store, const std::string& raw) {
+  KeyRef key(raw);
+  std::vector<uint8_t> esc;
+  EscapeKey(key, &esc);
+  bool nul_free = raw.find('\0') == std::string::npos;
+  uint64_t before = store->key_bytes();
+  uint64_t id = store->Append(key, 9);
+  const RecordStore::Record& rec = store->At(id);
+  EXPECT_EQ(rec.raw_key().Compare(key), 0);
+  EXPECT_EQ(rec.escaped_key().Compare(KeyRef(esc.data(), esc.size())), 0);
+  EXPECT_EQ(rec.escaped_key().data() == rec.raw_key().data(), nul_free);
+  EXPECT_EQ(store->key_bytes() - before,
+            nul_free ? EscapedKeyLength(key) : raw.size() + esc.size());
+}
+
+TEST(NetRecordStore, NulFreeKeysAreStoredOnce) {
+  RecordStore store;
+  AppendAndCheck(&store, "");
+  AppendAndCheck(&store, "user:alice@example.com");
+  AppendAndCheck(&store, std::string("\0a\0\0b\0", 6));
+  AppendAndCheck(&store, std::string(4, '\0'));
+  // Escaped forms of exactly kMaxKeyBytes, without and with NULs.
+  std::string longest(kMaxKeyBytes - 2, 'x');
+  ASSERT_TRUE(KeyFitsIndex(KeyRef(longest)));
+  AppendAndCheck(&store, longest);
+  std::string longest_nul(kMaxKeyBytes - 4, 'y');
+  longest_nul[7] = '\0';
+  longest_nul[100] = '\0';
+  ASSERT_EQ(EscapedKeyLength(KeyRef(longest_nul)), kMaxKeyBytes);
+  AppendAndCheck(&store, longest_nul);
+  EXPECT_EQ(store.appended(), 6u);
+}
+
+// Enough ~250 B keys to fill several key-byte blocks: every record must
+// still resolve to its own bytes once later blocks have been allocated.
+TEST(NetRecordStore, KeysSpanManyBlocks) {
+  RecordStore store;
+  auto key_of = [](uint64_t i) {
+    std::string k = std::to_string(i) + ":";
+    k.resize(240 + i % 14, static_cast<char>('a' + i % 26));
+    if (i % 5 == 0) k[k.size() / 2] = '\0';  // every fifth key keeps 2 copies
+    return k;
+  };
+  uint64_t expected_bytes = 0;
+  uint64_t n = 0;
+  while (expected_bytes <= 3 * RecordStore::kBlockBytes + 4096) {
+    std::string k = key_of(n);
+    size_t esc = EscapedKeyLength(KeyRef(k));
+    bool nul_free = esc == k.size() + 2;
+    expected_bytes += nul_free ? esc : k.size() + esc;
+    ASSERT_EQ(store.Append(KeyRef(k), n), n);
+    ASSERT_EQ(store.key_bytes(), expected_bytes) << n;
+    ++n;
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string k = key_of(i);
+    std::vector<uint8_t> esc;
+    EscapeKey(KeyRef(k), &esc);
+    const RecordStore::Record& rec = store.At(i);
+    ASSERT_EQ(rec.raw_key().Compare(KeyRef(k)), 0) << i;
+    ASSERT_EQ(rec.escaped_key().Compare(KeyRef(esc.data(), esc.size())), 0)
+        << i;
+    ASSERT_EQ(rec.value.load(), i);
+  }
+}
+
 // --- live-server harness -----------------------------------------------------
 
 // Raw socket with explicit control over write granularity — KvClient is

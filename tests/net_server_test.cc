@@ -455,10 +455,12 @@ TEST(NetServer, OverwritesSwapValuesInPlace) {
   KvClient c;
   ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
   uint64_t keys_written = 0;
+  uint64_t key_bytes_written = 0;
   for (uint64_t k = 0; k < kKeys; ++k) {
     const std::vector<PutRecord>& puts = per_key[k];
     if (puts.empty()) continue;
     ++keys_written;
+    key_bytes_written += key_of(k).size() + 2;  // NUL-free: one shared copy
     std::map<uint64_t, uint64_t> next;  // prev value -> value that replaced it
     std::optional<uint64_t> head;
     for (const PutRecord& p : puts) {
@@ -500,6 +502,7 @@ TEST(NetServer, OverwritesSwapValuesInPlace) {
   ServerStats s = server.StatsSnapshot();
   EXPECT_EQ(s.puts, total);
   EXPECT_EQ(s.records_appended, keys_written);
+  EXPECT_EQ(s.record_key_bytes, key_bytes_written);
   EXPECT_EQ(s.puts_in_place, total - keys_written);
   EXPECT_EQ(s.record_store_full, 0u);
 }

@@ -336,6 +336,27 @@ TEST(PersistServer, ManualSnapshotCompactsTheWal) {
   }
 }
 
+// A logged key longer than the index accepts can only come from a damaged
+// data dir; the refill must refuse it instead of indexing it.
+TEST(PersistServer, OverlongRecoveredKeyFailsStart) {
+  TempDir dir;
+  {
+    persist::Wal wal;
+    std::string err;
+    persist::Wal::Options o;
+    o.durability = persist::Durability::kNone;
+    ASSERT_TRUE(wal.Open(dir.path, persist::WalResume{}, o, &err)) << err;
+    wal.Append(persist::kWalPut, K(Key(1)), 1);
+    wal.Append(persist::kWalPut, K(std::string(kMaxKeyBytes, 'x')), 2);
+    ASSERT_TRUE(wal.Flush(true, &err)) << err;
+    wal.Close();
+  }
+  KvServer server(DurableServer(dir.path, persist::Durability::kSync));
+  std::string err;
+  EXPECT_FALSE(server.Start(&err));
+  EXPECT_NE(err.find("256 bytes"), std::string::npos) << err;
+}
+
 TEST(PersistServer, BadDataDirFailsStartLoudly) {
   ServerOptions opt =
       DurableServer("/nonexistent/hot-persist-dir", persist::Durability::kSync);

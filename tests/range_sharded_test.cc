@@ -191,7 +191,9 @@ void DifferentialMixedOps(Index& idx, uint64_t seed) {
       case 3: {
         auto got = idx.Lookup(U64Key(v).ref());
         ASSERT_EQ(got.has_value(), oracle.count(v) > 0);
-        if (got) ASSERT_EQ(*got, v);
+        if (got) {
+          ASSERT_EQ(*got, v);
+        }
         break;
       }
       case 4:
@@ -211,7 +213,9 @@ void DifferentialMixedOps(Index& idx, uint64_t seed) {
         break;
       }
     }
-    if (i % 5000 == 0) ASSERT_EQ(idx.size(), oracle.size());
+    if (i % 5000 == 0) {
+      ASSERT_EQ(idx.size(), oracle.size());
+    }
   }
   ASSERT_EQ(idx.size(), oracle.size());
 }
@@ -451,7 +455,9 @@ void ConcurrentMixedOps(bool assert_ordered) {
             bool first = true;
             U64Key k(v);
             size_t n = idx.ScanFrom(k.ref(), 128, [&](uint64_t got) {
-              if (assert_ordered && !first) ASSERT_GT(got, prev);
+              if (assert_ordered && !first) {
+                ASSERT_GT(got, prev);
+              }
               prev = got;
               first = false;
             });

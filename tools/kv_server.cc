@@ -110,13 +110,13 @@ void PrintStats(const hot::net::ServerStats& s, bool durable) {
       " replies %" PRIu64 " | get %" PRIu64 " put %" PRIu64 " del %" PRIu64
       " scan %" PRIu64 " | batched %" PRIu64 " in %" PRIu64
       " drains (max %" PRIu64 ") scalar %" PRIu64 " | proto-err %" PRIu64
-      " bad-req %" PRIu64 " | records %" PRIu64 " in-place %" PRIu64
-      " full %" PRIu64 "\n",
+      " bad-req %" PRIu64 " | records %" PRIu64 " (%" PRIu64
+      " key B) in-place %" PRIu64 " full %" PRIu64 "\n",
       s.connections_accepted, s.connections_closed, s.connections_open(),
       s.frames_in, s.replies_out, s.gets, s.puts, s.deletes, s.scans,
       s.batched_gets, s.batch_drains, s.max_batch, s.scalar_gets,
-      s.protocol_errors, s.bad_requests, s.records_appended, s.puts_in_place,
-      s.record_store_full);
+      s.protocol_errors, s.bad_requests, s.records_appended,
+      s.record_key_bytes, s.puts_in_place, s.record_store_full);
   if (durable) {
     std::printf("wal appends %" PRIu64 " fsyncs %" PRIu64
                 " group-committed %" PRIu64 " commit-failures %" PRIu64
