@@ -7,7 +7,9 @@
 //
 //   recover_s  mmap + validate the snapshot, read the tail, sort the
 //              delta, merge into the sorted image (persist/recovery.h);
-//   build_s    ParallelBulkBuild of the ROWEX trie from that image.
+//   build_s    refill a net::RecordStore from that image (the parallel
+//              bulk append KvServer's restart uses), then ParallelBulkBuild
+//              of the ROWEX trie over the record ids.
 //
 // Every row is self-verifying: the recovered image's CRC32C fingerprint
 // (persist::ImageChecksum) and the ordered-scan fingerprint of the BUILT
@@ -22,7 +24,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <utility>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -185,13 +190,20 @@ RunResult RunOne(TempDir* dir, size_t n_keys, size_t tail_ops,
   out.recovered = rec.records.size();
   out.image_crc = persist::ImageChecksum(rec.records);
 
-  // Phase 2: sorted image -> served trie.
+  // Phase 2: sorted image -> record store -> served trie, the refill
+  // taking the same one-pass parallel path as KvServer's restart.
   net::RecordStore store;
-  std::vector<uint64_t> ids;
-  ids.reserve(rec.records.size());
-  for (const persist::RecoveredRecord& r : rec.records) {
-    ids.push_back(store.Append(r.key_ref(), r.value));
+  std::optional<uint64_t> base = store.TryAppendBulk(
+      rec.records.size(), threads, [&](size_t i) {
+        return std::pair<KeyRef, uint64_t>(rec.records[i].key_ref(),
+                                           rec.records[i].value);
+      });
+  if (!base) {
+    std::fprintf(stderr, "refill: record store refused the image\n");
+    return out;
   }
+  std::vector<uint64_t> ids(rec.records.size());
+  std::iota(ids.begin(), ids.end(), *base);
   RowexHotTrie<net::RecordKeyExtractor> trie{net::RecordKeyExtractor(&store)};
   trie.BulkLoad(ids.data(), ids.size(), threads);
   auto t3 = std::chrono::steady_clock::now();
@@ -249,7 +261,7 @@ int main(int argc, char** argv) {
   json.meta()
       .Add("threads", threads)
       .Add("quick", quick)
-      .Add("phases", std::string("recover=mmap+merge build=bulkload"));
+      .Add("phases", std::string("recover=mmap+merge build=refill+bulkload"));
 
   hot::TempDir dir;
   std::printf("%10s %10s | %9s %9s %9s | %9s | %s\n", "keys", "wal_tail",

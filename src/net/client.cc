@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
+
 namespace hot {
 namespace net {
 
@@ -127,7 +129,13 @@ bool KvClient::ReadReply(Reply* reply, std::string* error) {
       pending_.erase(id);
       return true;
     }
-    // Need more bytes.
+    // Need more bytes.  Drop the consumed prefix first, so the buffer
+    // holds at most one partial frame plus one read, however long the
+    // pipelined stream runs.
+    if (in_off_ != 0) {
+      in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_off_));
+      in_off_ = 0;
+    }
     char buf[64 * 1024];
     ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {

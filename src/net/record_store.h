@@ -28,9 +28,19 @@
 // fit the current block's remainder starts a new block; keys are at most
 // 2 * kMaxKeyBytes bytes, so that waste stays under 0.05%.
 //
+// Bulk path.  Restart refills the store with the whole recovered image at
+// once (TryAppendBulk): ids [base, base + n) in image order, written by
+// several threads.  The range is split at chunk boundaries, so each thread
+// owns whole chunks of records, and each thread takes key bytes from its
+// own blocks; the blocks join the store's under the append mutex at the
+// end, which the call holds throughout.  Every record, bulk or single, is
+// written by one helper (WriteRecord), so both paths share one layout and
+// one key_bytes() count, whatever the thread count.
+//
 // Capacity is bounded (2^30 records by default; the constructor takes a
-// smaller chunk budget for tests).  TryAppend reports exhaustion; Append
-// is for callers that cannot handle it and aborts with a message.
+// smaller chunk budget for tests).  TryAppend and TryAppendBulk report
+// exhaustion; Append is for callers that cannot handle it and aborts with
+// a message.
 //
 // Key escape.  Trie keys must be prefix-free (common/key.h); wire keys are
 // arbitrary bytes, so "append a terminator" alone is not enough ("a\0" vs
@@ -69,6 +79,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -150,35 +161,81 @@ class RecordStore {
   // valid as a trie value), or nullopt once capacity() records exist.
   // `raw` must satisfy KeyFitsIndex.
   std::optional<uint64_t> TryAppend(KeyRef raw, uint64_t value) {
-    assert(KeyFitsIndex(raw));
+    size_t esc_len = EscapedKeyLength(raw);
+    assert(esc_len <= kMaxKeyBytes);
     std::lock_guard<std::mutex> guard(append_mu_);
     uint64_t id = size_.load(std::memory_order_relaxed);
     if (id >= capacity()) return std::nullopt;
-    size_t chunk = static_cast<size_t>(id / kChunkRecords);
-    Chunk* c = chunks_[chunk].load(std::memory_order_relaxed);
-    if (c == nullptr) {
-      c = new Chunk();
-      chunks_[chunk].store(c, std::memory_order_release);
-    }
-    Record& rec = c->records[id % kChunkRecords];
-    size_t esc_len = EscapedKeyLength(raw);
-    bool shared = esc_len == raw.size() + 2;
-    size_t need = shared ? esc_len : raw.size() + esc_len;
-    uint8_t* dst = AllocateKeyBytes(need);
-    if (raw.size() != 0) std::memcpy(dst, raw.data(), raw.size());
-    if (shared) {
-      dst[raw.size()] = 0x00;
-      dst[raw.size() + 1] = 0x00;
-    } else {
-      EscapeKey(raw, dst + raw.size());
-    }
-    rec.value.store(value, std::memory_order_relaxed);
-    rec.raw_len = static_cast<uint32_t>(raw.size());
-    rec.esc_len = static_cast<uint32_t>(esc_len);
-    rec.bytes = dst;
+    size_t used = WriteRecord(&Slot(id), raw, esc_len, value, &keys_);
     size_.store(id + 1, std::memory_order_relaxed);
-    bytes_.fetch_add(need, std::memory_order_relaxed);
+    bytes_.fetch_add(used, std::memory_order_relaxed);
     return id;
+  }
+
+  // Appends n records as ids [base, base + n) and returns base (the
+  // appended() count at the call).  Record i is source(i), a
+  // std::pair<KeyRef, uint64_t> of raw key and value.  Up to `threads`
+  // threads (the caller's among them) fill whole chunks each; the result
+  // does not depend on the thread count.  Returns nullopt and leaves
+  // appended() and key_bytes() unchanged when n more records do not fit,
+  // or when a key fails KeyFitsIndex — then *overlong_key_len (if given)
+  // is that key's raw length, and stays 0 otherwise.  Readers may run
+  // concurrently; other appends wait for the whole call.
+  template <typename Source>
+  std::optional<uint64_t> TryAppendBulk(size_t n, unsigned threads,
+                                        const Source& source,
+                                        size_t* overlong_key_len = nullptr) {
+    if (overlong_key_len != nullptr) *overlong_key_len = 0;
+    std::lock_guard<std::mutex> guard(append_mu_);
+    const uint64_t base = size_.load(std::memory_order_relaxed);
+    if (n > capacity() - base) return std::nullopt;
+    if (n == 0) return base;
+    const uint64_t end = base + n;
+    const uint64_t first_chunk = base / kChunkRecords;
+    const uint64_t chunks = (end - 1) / kChunkRecords - first_chunk + 1;
+    const unsigned workers = static_cast<unsigned>(
+        std::clamp<uint64_t>(threads, 1, chunks));
+
+    struct Part {
+      KeyBlocks keys;
+      uint64_t bytes = 0;
+      size_t overlong = 0;  // raw length of the first overlong key
+    };
+    std::vector<Part> parts(workers);
+    auto fill = [&](unsigned w) {
+      Part& part = parts[w];
+      uint64_t lo = std::max(base, (first_chunk + chunks * w / workers) *
+                                       kChunkRecords);
+      uint64_t hi = std::min(end, (first_chunk + chunks * (w + 1) / workers) *
+                                      kChunkRecords);
+      for (uint64_t id = lo; id < hi; ++id) {
+        const auto [raw, value] = source(static_cast<size_t>(id - base));
+        size_t esc_len = EscapedKeyLength(raw);
+        if (esc_len > kMaxKeyBytes) {
+          part.overlong = raw.size();
+          return;
+        }
+        part.bytes += WriteRecord(&Slot(id), raw, esc_len, value, &part.keys);
+      }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) helpers.emplace_back(fill, w);
+    fill(0);
+    for (std::thread& t : helpers) t.join();
+
+    uint64_t bytes = 0;
+    for (Part& part : parts) {
+      if (part.overlong != 0) {
+        if (overlong_key_len != nullptr) *overlong_key_len = part.overlong;
+        return std::nullopt;  // the parts' blocks are freed with them
+      }
+      bytes += part.bytes;
+    }
+    for (Part& part : parts) keys_.Adopt(std::move(part.keys));
+    size_.store(end, std::memory_order_relaxed);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    return base;
   }
 
   // TryAppend for callers with no way to report exhaustion: aborts with a
@@ -222,18 +279,74 @@ class RecordStore {
     Record records[kChunkRecords];
   };
 
-  // Bump-allocates `n` (<= kBlockBytes) key bytes; caller holds append_mu_.
-  // The bytes never move afterwards.
-  uint8_t* AllocateKeyBytes(size_t n) {
-    if (n > block_left_) {
-      blocks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(kBlockBytes));
-      block_next_ = blocks_.back().get();
-      block_left_ = kBlockBytes;
+  // Bump allocator over key-byte blocks of kBlockBytes.  The bytes never
+  // move, and a block lives as long as its owner.
+  class KeyBlocks {
+   public:
+    uint8_t* Allocate(size_t n) {
+      if (n > left_) {
+        blocks_.push_back(
+            std::make_unique_for_overwrite<uint8_t[]>(kBlockBytes));
+        next_ = blocks_.back().get();
+        left_ = kBlockBytes;
+      }
+      uint8_t* p = next_;
+      next_ += n;
+      left_ -= n;
+      return p;
     }
-    uint8_t* p = block_next_;
-    block_next_ += n;
-    block_left_ -= n;
-    return p;
+
+    // Takes over `other`'s blocks; later allocations continue in whichever
+    // current block has more room left.
+    void Adopt(KeyBlocks&& other) {
+      for (auto& block : other.blocks_) blocks_.push_back(std::move(block));
+      if (other.left_ > left_) {
+        next_ = other.next_;
+        left_ = other.left_;
+      }
+      other = KeyBlocks();
+    }
+
+   private:
+    std::vector<std::unique_ptr<uint8_t[]>> blocks_;
+    uint8_t* next_ = nullptr;
+    size_t left_ = 0;
+  };
+
+  // The slot of record `id`, allocating its chunk on first use.  Only the
+  // chunk's writer calls this: the append_mu_ holder, or the bulk thread
+  // that owns the chunk.
+  Record& Slot(uint64_t id) {
+    std::atomic<Chunk*>& slot =
+        chunks_[static_cast<size_t>(id / kChunkRecords)];
+    Chunk* c = slot.load(std::memory_order_relaxed);
+    if (c == nullptr) {
+      c = new Chunk();
+      slot.store(c, std::memory_order_release);
+    }
+    return c->records[id % kChunkRecords];
+  }
+
+  // Writes the one record layout (see the header comment): `raw`, whose
+  // escaped length is `esc_len` (<= kMaxKeyBytes), and `value`, with key
+  // bytes from `keys`.  Returns the number of key bytes used.
+  static size_t WriteRecord(Record* rec, KeyRef raw, size_t esc_len,
+                            uint64_t value, KeyBlocks* keys) {
+    bool shared = esc_len == raw.size() + 2;
+    size_t need = shared ? esc_len : raw.size() + esc_len;
+    uint8_t* dst = keys->Allocate(need);
+    if (raw.size() != 0) std::memcpy(dst, raw.data(), raw.size());
+    if (shared) {
+      dst[raw.size()] = 0x00;
+      dst[raw.size() + 1] = 0x00;
+    } else {
+      EscapeKey(raw, dst + raw.size());
+    }
+    rec->value.store(value, std::memory_order_relaxed);
+    rec->raw_len = static_cast<uint32_t>(raw.size());
+    rec->esc_len = static_cast<uint32_t>(esc_len);
+    rec->bytes = dst;
+    return need;
   }
 
   const size_t max_chunks_;
@@ -241,10 +354,8 @@ class RecordStore {
   std::atomic<Chunk*> chunks_[kMaxChunks] = {};
   std::atomic<uint64_t> size_{0};
   std::atomic<uint64_t> bytes_{0};
-  // Key-byte blocks; guarded by append_mu_ (readers follow Record::bytes).
-  std::vector<std::unique_ptr<uint8_t[]>> blocks_;
-  uint8_t* block_next_ = nullptr;
-  size_t block_left_ = 0;
+  // Guarded by append_mu_ (readers follow Record::bytes).
+  KeyBlocks keys_;
 };
 
 // KeyExtractor over record ids: the indexed key of record `id` is its

@@ -16,6 +16,7 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -751,37 +752,43 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
   if (!ps::RecoverImage(options_.data_dir, &rec, error)) return false;
   auto t1 = Clock::now();
 
-  // Refill the record store in merged (ascending-key) order: ids come out
-  // 0..n-1, so the id sequence IS the key-sorted value sequence the bulk
-  // build wants.
+  // Refill the record store in merged (ascending-key) order, in one
+  // parallel pass straight from the recovered views: ids come out
+  // base..base+n-1, so the id sequence IS the key-sorted value sequence
+  // the bulk build wants.
   const size_t n = rec.records.size();
-  std::vector<uint64_t> ids;
-  ids.reserve(n);
-  for (const ps::RecoveredRecord& r : rec.records) {
+  const unsigned threads =
+      options_.recovery_threads != 0
+          ? options_.recovery_threads
+          : std::max(1u, std::thread::hardware_concurrency());
+  size_t overlong = 0;
+  std::optional<uint64_t> base = store_.TryAppendBulk(
+      n, threads,
+      [&](size_t i) {
+        const ps::RecoveredRecord& r = rec.records[i];
+        return std::pair<KeyRef, uint64_t>(r.key_ref(), r.value);
+      },
+      &overlong);
+  if (!base) {
     // Every record passed KeyFitsIndex when it was first accepted, so a
     // key that does not is a damaged data dir; the record store's block
     // allocator and the tries both rely on the bound.
-    if (!KeyFitsIndex(r.key_ref())) {
-      if (error != nullptr) {
-        *error = "data dir " + options_.data_dir + " holds a key of " +
-                 std::to_string(r.key_ref().size()) +
-                 " bytes, longer than the index accepts";
-      }
-      return false;
+    if (error == nullptr) return false;
+    if (overlong != 0) {
+      *error = "data dir " + options_.data_dir + " holds a key of " +
+               std::to_string(overlong) +
+               " bytes, longer than the index accepts";
+    } else {
+      *error = "data dir " + options_.data_dir + " holds " +
+               std::to_string(n) +
+               " live keys, more than the record store capacity of " +
+               std::to_string(store_.capacity()) +
+               " records; split its key range across several servers";
     }
-    std::optional<uint64_t> id = store_.TryAppend(r.key_ref(), r.value);
-    if (!id) {
-      if (error != nullptr) {
-        *error = "data dir " + options_.data_dir + " holds " +
-                 std::to_string(n) +
-                 " live keys, more than the record store capacity of " +
-                 std::to_string(store_.capacity()) +
-                 " records; split its key range across several servers";
-      }
-      return false;
-    }
-    ids.push_back(*id);
+    return false;
   }
+  std::vector<uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), *base);
 
   if (n > 0) {
     // Equi-depth splitters from the recovered escaped keys, so a skewed
@@ -799,9 +806,6 @@ bool KvServer::RecoverAndOpenWal(std::string* error) {
       splitters.emplace_back(k.data(), k.data() + k.size());
     }
     if (!splitters.empty()) index_->Reshard(std::move(splitters));
-    unsigned threads = options_.recovery_threads != 0
-                           ? options_.recovery_threads
-                           : std::max(1u, std::thread::hardware_concurrency());
     index_->BulkLoadSorted(std::span<const uint64_t>(ids.data(), n), threads);
   }
   auto t2 = Clock::now();

@@ -18,6 +18,15 @@
 // input ParallelBulkBuild wants, which is what makes restart O(image) with
 // a multi-Mkeys/s constant instead of O(ops-since-genesis) replay.
 //
+// Records are views, not copies.  A snapshot record's key points into the
+// mapped snapshot file, a tail record's key into the read buffer of its
+// WAL segment; the RecoveryResult owns both, so its records stay valid
+// exactly as long as the result itself.  Restart therefore allocates no
+// memory per key before the record store takes the bytes.  The tail sort
+// compares an 8-byte big-endian key prefix first (zero-padded, which
+// orders like the full keys wherever the prefixes differ) and falls back
+// to the full key, then the LSN, only on equal prefixes.
+//
 // Fuzzy snapshots and idempotence.  The snapshot scan runs while writers
 // keep writing: the server rotates the WAL first (cut C = last LSN of the
 // old segment), then scans.  A write that lands during the scan is in the
@@ -37,7 +46,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/key.h"
@@ -47,13 +59,14 @@
 namespace hot {
 namespace persist {
 
+// One key/value of the recovered image.  The key bytes belong to the
+// RecoveryResult the record came from.
 struct RecoveredRecord {
-  std::string key;  // raw wire key bytes
+  const uint8_t* key_data = nullptr;  // raw wire key bytes
+  uint32_t key_len = 0;
   uint64_t value = 0;
 
-  KeyRef key_ref() const {
-    return KeyRef(reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  }
+  KeyRef key_ref() const { return KeyRef(key_data, key_len); }
 };
 
 struct RecoveryResult {
@@ -70,6 +83,11 @@ struct RecoveryResult {
   uint64_t wal_segments = 0;
   uint64_t wal_records_applied = 0;  // lsn > snapshot cut
   uint64_t wal_records_stale = 0;    // lsn <= snapshot cut (pre-prune crash)
+
+  // What the records' keys point into: the mapped snapshot and the read
+  // buffers of the WAL segments that hold tail records.
+  std::unique_ptr<SnapshotReader> snapshot;
+  std::vector<std::vector<uint8_t>> wal_buffers;
 };
 
 // CRC32C over the ordered image (key bytes framed by their length, then the
@@ -78,13 +96,29 @@ struct RecoveryResult {
 inline uint32_t ImageChecksum(const std::vector<RecoveredRecord>& records) {
   uint32_t state = Crc32cBegin();
   for (const RecoveredRecord& r : records) {
-    uint32_t klen = static_cast<uint32_t>(r.key.size());
+    uint32_t klen = r.key_len;
     state = Crc32cExtend(state, &klen, sizeof(klen));
-    state = Crc32cExtend(state, r.key.data(), r.key.size());
+    state = Crc32cExtend(state, r.key_data, r.key_len);
     state = Crc32cExtend(state, &r.value, sizeof(r.value));
   }
   return Crc32cFinish(state);
 }
+
+namespace detail {
+
+// The first 8 bytes of `key` as a big-endian integer, zero-padded: where
+// two prefixes differ they order like the full keys.
+inline uint64_t KeyPrefix8(KeyRef key) {
+  uint8_t buf[8] = {};
+  if (key.size() != 0) {
+    std::memcpy(buf, key.data(), std::min<size_t>(key.size(), sizeof(buf)));
+  }
+  uint64_t v;
+  std::memcpy(&v, buf, sizeof(v));
+  return __builtin_bswap64(v);
+}
+
+}  // namespace detail
 
 // Rebuilds the logical image from `dir`.  Returns false (with *error) on
 // real corruption — a snapshot that fails validation, or a torn/invalid
@@ -99,41 +133,53 @@ inline bool RecoverImage(const std::string& dir, RecoveryResult* out,
   ::unlink(SnapshotTmpPath(dir).c_str());
 
   uint64_t cut = 0;  // snapshot's WAL cut; tail records must exceed it
-  SnapshotReader snap;
   std::string snap_path = SnapshotPath(dir);
   struct stat st;
   if (::stat(snap_path.c_str(), &st) == 0) {
-    if (!snap.Open(snap_path, error)) return false;
-    cut = snap.last_lsn();
+    out->snapshot = std::make_unique<SnapshotReader>();
+    if (!out->snapshot->Open(snap_path, error)) return false;
+    cut = out->snapshot->last_lsn();
     out->snapshot_loaded = true;
-    out->snapshot_records = snap.count();
+    out->snapshot_records = out->snapshot->count();
     out->last_lsn = cut;
   }
 
-  // WAL tail: op stream with lsn > cut, in append order.
+  // WAL tail: op stream with lsn > cut, in append order.  Keys point into
+  // the segment buffers kept in out->wal_buffers.
   struct TailOp {
-    std::string key;
+    uint64_t prefix;  // detail::KeyPrefix8 of the key
+    const uint8_t* key;
+    uint32_t klen;
+    uint8_t op;
     uint64_t lsn;
     uint64_t value;
-    uint8_t op;
+
+    KeyRef key_ref() const { return KeyRef(key, klen); }
   };
   std::vector<TailOp> tail;
   auto segments = ListWalSegments(dir);
   out->wal_segments = segments.size();
   for (size_t i = 0; i < segments.size(); ++i) {
     const auto& [seq, path] = segments[i];
-    WalReadResult r = ReadWalSegment(path, [&](const WalRecord& rec) {
-      if (rec.lsn <= cut) {
-        out->wal_records_stale++;
-        return;
-      }
-      out->wal_records_applied++;
-      tail.push_back({std::string(reinterpret_cast<const char*>(
-                                      rec.key.data()),
-                                  rec.key.size()),
-                      rec.lsn, rec.value, rec.op});
-      if (rec.lsn > out->last_lsn) out->last_lsn = rec.lsn;
-    });
+    const size_t tail_before = tail.size();
+    std::vector<uint8_t> buffer;
+    WalReadResult r = ReadWalSegment(
+        path,
+        [&](const WalRecord& rec) {
+          if (rec.lsn <= cut) {
+            out->wal_records_stale++;
+            return;
+          }
+          out->wal_records_applied++;
+          tail.push_back({detail::KeyPrefix8(rec.key), rec.key.data(),
+                          static_cast<uint32_t>(rec.key.size()), rec.op,
+                          rec.lsn, rec.value});
+          if (rec.lsn > out->last_lsn) out->last_lsn = rec.lsn;
+        },
+        &buffer);
+    if (tail.size() != tail_before) {
+      out->wal_buffers.push_back(std::move(buffer));
+    }
     if (!r.ok) {
       if (error != nullptr) *error = r.error;
       return false;
@@ -158,66 +204,54 @@ inline bool RecoverImage(const std::string& dir, RecoveryResult* out,
   // Last-writer-wins per key: stable order is (key, lsn), keep the highest
   // lsn of each run.
   std::sort(tail.begin(), tail.end(), [](const TailOp& a, const TailOp& b) {
-    int c = KeyRef(reinterpret_cast<const uint8_t*>(a.key.data()),
-                   a.key.size())
-                .Compare(KeyRef(reinterpret_cast<const uint8_t*>(b.key.data()),
-                                b.key.size()));
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    int c = a.key_ref().Compare(b.key_ref());
     if (c != 0) return c < 0;
     return a.lsn < b.lsn;
   });
   std::vector<TailOp> delta;
   delta.reserve(tail.size());
   for (size_t i = 0; i < tail.size(); ++i) {
-    if (i + 1 < tail.size() && tail[i].key == tail[i + 1].key) continue;
-    delta.push_back(std::move(tail[i]));
+    if (i + 1 < tail.size() && tail[i].prefix == tail[i + 1].prefix &&
+        tail[i].key_ref().Compare(tail[i + 1].key_ref()) == 0) {
+      continue;
+    }
+    delta.push_back(tail[i]);
   }
-  tail.clear();
+  tail = std::vector<TailOp>();
 
   // Merge snapshot stream x delta: both ascending, delta wins on ties.
   out->records.reserve(out->snapshot_records + delta.size());
   size_t di = 0;
-  bool merge_ok = true;
-  std::string merge_err;
+  auto emit = [&](KeyRef key, uint64_t value) {
+    out->records.push_back(
+        {key.data(), static_cast<uint32_t>(key.size()), value});
+  };
   if (out->snapshot_loaded) {
-    merge_ok = snap.ForEach(
+    std::string merge_err;
+    bool merge_ok = out->snapshot->ForEach(
         [&](KeyRef key, uint64_t value) {
           // Deltas strictly below the snapshot key first.
           while (di < delta.size()) {
-            KeyRef dk(reinterpret_cast<const uint8_t*>(delta[di].key.data()),
-                      delta[di].key.size());
-            int c = dk.Compare(key);
+            int c = delta[di].key_ref().Compare(key);
             if (c > 0) break;
-            if (c < 0) {
-              if (delta[di].op == kWalPut) {
-                out->records.push_back(
-                    {std::move(delta[di].key), delta[di].value});
-              }
-              ++di;
-              continue;
-            }
-            // Same key: the delta supersedes the snapshot record.
             if (delta[di].op == kWalPut) {
-              out->records.push_back(
-                  {std::move(delta[di].key), delta[di].value});
+              emit(delta[di].key_ref(), delta[di].value);
             }
             ++di;
-            return;  // snapshot record consumed either way
+            // Same key: the delta supersedes the snapshot record.
+            if (c == 0) return;
           }
-          out->records.push_back(
-              {std::string(reinterpret_cast<const char*>(key.data()),
-                           key.size()),
-               value});
+          emit(key, value);
         },
         &merge_err);
-  }
-  if (!merge_ok) {
-    if (error != nullptr) *error = merge_err;
-    return false;
+    if (!merge_ok) {
+      if (error != nullptr) *error = merge_err;
+      return false;
+    }
   }
   for (; di < delta.size(); ++di) {  // deltas above the whole snapshot
-    if (delta[di].op == kWalPut) {
-      out->records.push_back({std::move(delta[di].key), delta[di].value});
-    }
+    if (delta[di].op == kWalPut) emit(delta[di].key_ref(), delta[di].value);
   }
   return true;
 }

@@ -61,6 +61,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/key.h"
@@ -219,9 +220,12 @@ struct WalReadResult {
 // Reads every valid frame of one segment in order, stopping cleanly at the
 // first invalid one (truncated header/body, hostile length, CRC mismatch).
 // The key in each delivered record borrows the read buffer — copy it out if
-// it must outlive the callback.
+// it must outlive the callback, or pass `keep`: the buffer is then moved
+// into *keep once frames were delivered, and the delivered keys stay valid
+// as long as *keep holds it.
 template <typename Fn>
-WalReadResult ReadWalSegment(const std::string& path, Fn&& fn) {
+WalReadResult ReadWalSegment(const std::string& path, Fn&& fn,
+                             std::vector<uint8_t>* keep = nullptr) {
   WalReadResult r;
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
@@ -311,6 +315,7 @@ WalReadResult ReadWalSegment(const std::string& path, Fn&& fn) {
     off += kWalFrameHeaderBytes + body_len;
     r.valid_end = off;
   }
+  if (keep != nullptr && r.frames != 0) *keep = std::move(data);
   return r;
 }
 

@@ -11,7 +11,9 @@
 //   * mid-request disconnects: connections abandoned with half a frame
 //     buffered must be fully reaped (no fd/buffer leak, proven through
 //     ServerStats::connections_open());
-//   * key escape order/prefix properties and record-store exhaustion.
+//   * key escape order/prefix properties, record-store exhaustion, and the
+//     bulk append restart uses (every thread count writes the records a
+//     TryAppend loop writes).
 
 #include <errno.h>
 #include <netinet/in.h>
@@ -25,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -418,6 +421,121 @@ TEST(NetRecordStore, KeysSpanManyBlocks) {
         << i;
     ASSERT_EQ(rec.value.load(), i);
   }
+}
+
+// Bulk-append keys: NUL-free, NUL-heavy and empty, in image order.
+std::string BulkKey(uint64_t i) {
+  if (i % 97 == 0) return "";
+  std::string k = "bulk-" + std::to_string(i);
+  if (i % 3 == 1) {
+    k.insert(2, 1, '\0');
+    k.push_back('\0');
+  } else if (i % 3 == 2) {
+    k.resize(k.size() + i % 5, '\0');  // NUL-heavy tail, sometimes none
+  }
+  return k;
+}
+
+// A store holding `prefill` records appended one at a time.
+std::unique_ptr<RecordStore> PrefilledStore(uint64_t prefill) {
+  auto store = std::make_unique<RecordStore>();
+  for (uint64_t i = 0; i < prefill; ++i) {
+    std::string k = "pre-" + std::to_string(i);
+    EXPECT_EQ(store->Append(KeyRef(k), i), i);
+  }
+  return store;
+}
+
+// The bulk path on top of a non-chunk-aligned store: contiguous ids, both
+// key views equal to EscapeKey, the same key_bytes() growth as a TryAppend
+// loop, and byte-identical records whatever the thread count.
+TEST(NetRecordStore, BulkAppendMatchesTryAppendAtEveryThreadCount) {
+  const uint64_t prefill = RecordStore::kChunkRecords / 3 + 7;
+  const size_t n = 8 * RecordStore::kChunkRecords + 321;  // 9 chunks
+  std::vector<std::string> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = BulkKey(i);
+  auto source = [&](size_t i) {
+    return std::pair<KeyRef, uint64_t>(KeyRef(keys[i]), 5 * i + 1);
+  };
+
+  std::unique_ptr<RecordStore> ref = PrefilledStore(prefill);
+  const uint64_t ref_before = ref->key_bytes();
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(ref->TryAppend(KeyRef(keys[i]), 5 * i + 1), prefill + i);
+  }
+  const uint64_t ref_growth = ref->key_bytes() - ref_before;
+
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<RecordStore> store = PrefilledStore(prefill);
+    const uint64_t before = store->key_bytes();
+    std::optional<uint64_t> base = store->TryAppendBulk(n, threads, source);
+    ASSERT_TRUE(base.has_value());
+    EXPECT_EQ(*base, prefill);
+    EXPECT_EQ(store->appended(), prefill + n);
+    EXPECT_EQ(store->key_bytes() - before, ref_growth);
+    for (uint64_t id = 0; id < prefill + n; ++id) {
+      const RecordStore::Record& got = store->At(id);
+      const RecordStore::Record& want = ref->At(id);
+      ASSERT_EQ(got.raw_key().Compare(want.raw_key()), 0) << id;
+      ASSERT_EQ(got.escaped_key().Compare(want.escaped_key()), 0) << id;
+      ASSERT_EQ(got.shares_bytes(), want.shares_bytes()) << id;
+      ASSERT_EQ(got.value.load(), want.value.load()) << id;
+      if (id < prefill) continue;
+      KeyRef raw(keys[id - prefill]);
+      std::vector<uint8_t> esc;
+      EscapeKey(raw, &esc);
+      ASSERT_EQ(got.raw_key().Compare(raw), 0) << id;
+      ASSERT_EQ(got.escaped_key().Compare(KeyRef(esc.data(), esc.size())), 0)
+          << id;
+    }
+    // Single appends continue after the bulk range.
+    EXPECT_EQ(store->Append(K("after"), 1), prefill + n);
+  }
+}
+
+// A bulk append that cannot complete leaves the store as it was: no room
+// for all n records, or one key longer than the index accepts (its length
+// is reported so a restart can name it).
+TEST(NetRecordStore, BulkAppendRefusalLeavesStoreUnchanged) {
+  RecordStore store(/*max_chunks=*/2);
+  for (uint64_t i = 0; i < 100; ++i) {
+    std::string k = "pre-" + std::to_string(i);
+    ASSERT_EQ(store.Append(KeyRef(k), i), i);
+  }
+  const uint64_t bytes = store.key_bytes();
+  std::vector<std::string> keys(store.capacity());
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = BulkKey(i);
+  auto source = [&](size_t i) {
+    return std::pair<KeyRef, uint64_t>(KeyRef(keys[i]), i);
+  };
+
+  size_t overlong = 1;
+  EXPECT_FALSE(store.TryAppendBulk(store.capacity() - 99, 4, source, &overlong)
+                   .has_value());
+  EXPECT_EQ(overlong, 0u);
+  EXPECT_EQ(store.appended(), 100u);
+  EXPECT_EQ(store.key_bytes(), bytes);
+
+  keys[RecordStore::kChunkRecords + 5] = std::string(kMaxKeyBytes, 'x');
+  EXPECT_FALSE(store.TryAppendBulk(store.capacity() - 100, 4, source,
+                                   &overlong)
+                   .has_value());
+  EXPECT_EQ(overlong, kMaxKeyBytes);
+  EXPECT_EQ(store.appended(), 100u);
+  EXPECT_EQ(store.key_bytes(), bytes);
+  EXPECT_EQ(store.At(99).raw_key().Compare(K("pre-99")), 0);
+
+  // Still usable: an empty bulk is a no-op, then the store fills exactly.
+  EXPECT_EQ(store.TryAppendBulk(0, 4, source), std::optional<uint64_t>(100));
+  keys[RecordStore::kChunkRecords + 5] = "fits";
+  EXPECT_EQ(store.TryAppendBulk(store.capacity() - 100, 4, source),
+            std::optional<uint64_t>(100));
+  EXPECT_EQ(store.appended(), store.capacity());
+  EXPECT_EQ(store.At(100 + RecordStore::kChunkRecords + 5).raw_key().Compare(
+                K("fits")),
+            0);
+  EXPECT_FALSE(store.TryAppend(K("one-too-many"), 1).has_value());
 }
 
 // --- live-server harness -----------------------------------------------------

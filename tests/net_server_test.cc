@@ -1,7 +1,8 @@
 // End-to-end differential tier for the KV server (net/server.h):
 //
 //   * sync-op sanity over a real socket (created flags, replaced values,
-//     scan contents);
+//     scan contents), and a long pipelined stream of large SCAN replies
+//     whose reads straddle frames;
 //   * out-of-order completion: pipelined GETs defer into the end-of-
 //     iteration batch drain while writes reply inline, so arrival order is
 //     NOT request order — clients must match by id, and this test pins both
@@ -22,6 +23,7 @@
 #include <atomic>
 #include <memory>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <map>
 #include <optional>
@@ -140,6 +142,57 @@ TEST(NetServer, OutOfOrderBatchedCompletions) {
   ServerStats s = server.StatsSnapshot();
   EXPECT_GT(s.batch_drains, 0u) << "wide GET bursts never took the batch path";
   EXPECT_GE(s.max_batch, 8u);
+}
+
+// A long pipelined stream of large SCAN replies: 64 KiB reads end inside
+// frames almost every time, so the client keeps a partial frame across
+// reads (and drops what it consumed) over and over.  Every reply must
+// still parse to the exact scan.
+TEST(NetServer, PipelinedScansStraddlingReadsAllParse) {
+  KvServer server(SmallServer());
+  std::string err;
+  ASSERT_TRUE(server.Start(&err)) << err;
+  KvClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+  constexpr int kKeys = 3000;
+  auto key_of = [](int i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "straddle-%06d", i);
+    return std::string(buf);
+  };
+  for (int i = 0; i < kKeys; ++i) c.SendPut(K(key_of(i)), i);
+  ASSERT_TRUE(c.Flush(&err)) << err;
+  Reply reply;
+  while (c.outstanding() > 0) {
+    ASSERT_TRUE(c.ReadReply(&reply, &err)) << err;
+    ASSERT_TRUE(reply.ok());
+  }
+
+  // 4 rounds of 64 scans of 700 entries (~20 KB per reply): 5 MB in all.
+  constexpr uint32_t kLimit = 700;
+  for (int round = 0; round < 4; ++round) {
+    std::map<uint64_t, int> start_of;
+    for (int s = 0; s < 64; ++s) {
+      int start = (s * 37 + round * 11) % kKeys;
+      start_of[c.SendScan(K(key_of(start)), kLimit)] = start;
+    }
+    ASSERT_TRUE(c.Flush(&err)) << err;
+    for (int s = 0; s < 64; ++s) {
+      ASSERT_TRUE(c.ReadReply(&reply, &err)) << err;
+      ASSERT_TRUE(reply.ok());
+      auto it = start_of.find(reply.id);
+      ASSERT_NE(it, start_of.end());
+      const int start = it->second;
+      const size_t want = std::min<size_t>(kLimit, kKeys - start);
+      ASSERT_EQ(reply.scan.size(), want);
+      for (size_t j = 0; j < want; ++j) {
+        ASSERT_EQ(reply.scan[j].key, key_of(start + static_cast<int>(j)));
+        ASSERT_EQ(reply.scan[j].value, static_cast<uint64_t>(start + j));
+      }
+      start_of.erase(it);
+    }
+  }
+  EXPECT_EQ(c.outstanding(), 0u);
 }
 
 // --- seeded trace differentials over loopback --------------------------------

@@ -3,11 +3,13 @@
 // acked write before a clean Stop() is served after the next Start() — in
 // all three durability modes, in-place overwrites across a mid-stream
 // snapshot, the snapshot trigger + recovery path, the manual
-// TriggerSnapshot() hook, and that a bad data dir fails Start() loudly
-// instead of serving an empty non-durable index.
+// TriggerSnapshot() hook, that the parallel refill restores the same
+// image at every recovery thread count, and that a bad data dir fails
+// Start() loudly instead of serving an empty non-durable index.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -334,6 +336,74 @@ TEST(PersistServer, ManualSnapshotCompactsTheWal) {
     EXPECT_EQ(server.live_keys(), 300u);
     server.Stop();
   }
+}
+
+// The parallel refill must not depend on its thread count: the same data
+// dir (snapshot plus WAL tail, keys with and without NULs, several record
+// chunks) restarted with recovery_threads 1 and 4 serves the same ordered
+// image and holds the same key bytes.
+TEST(PersistServer, RecoveryThreadCountsRestoreTheSameImage) {
+  TempDir dir;
+  auto key_of = [](int i) {
+    std::string k = Key(i);
+    if (i % 3 == 0) k[4] = '\0';
+    return k;
+  };
+  std::map<std::string, uint64_t> oracle;
+  {
+    KvServer server(DurableServer(dir.path, persist::Durability::kAsync));
+    std::string err;
+    ASSERT_TRUE(server.Start(&err)) << err;
+    KvClient c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+    // Pipelined PUTs (and some DELETEs), one flush per batch.
+    auto write = [&](int from, int to, bool del) {
+      for (int b = from; b < to; b += 1000) {
+        for (int i = b; i < std::min(to, b + 1000); ++i) {
+          if (del) {
+            c.SendDelete(K(key_of(i)));
+            oracle.erase(key_of(i));
+          } else {
+            c.SendPut(K(key_of(i)), 7 * i + 1);
+            oracle[key_of(i)] = 7 * i + 1;
+          }
+        }
+        ASSERT_TRUE(c.Flush(&err)) << err;
+        Reply reply;
+        while (c.outstanding() > 0) {
+          ASSERT_TRUE(c.ReadReply(&reply, &err)) << err;
+          ASSERT_TRUE(reply.ok());
+        }
+      }
+    };
+    write(0, 40000, false);
+    ASSERT_TRUE(server.TriggerSnapshot(&err)) << err;
+    write(30000, 45000, false);  // overwrites and fresh keys in the tail
+    write(10000, 12000, true);
+    server.Stop();
+  }
+  std::map<std::string, uint64_t> images[2];
+  uint64_t key_bytes[2] = {0, 0};
+  const unsigned threads[2] = {1, 4};
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(threads[run]);
+    ServerOptions opt = DurableServer(dir.path, persist::Durability::kAsync);
+    opt.recovery_threads = threads[run];
+    KvServer server(opt);
+    std::string err;
+    ASSERT_TRUE(server.Start(&err)) << err;
+    EXPECT_TRUE(server.recovery().snapshot_loaded);
+    EXPECT_EQ(server.recovery().records, oracle.size());
+    KvClient c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", server.port(), &err)) << err;
+    images[run] = ScanAll(&c);
+    key_bytes[run] = server.StatsSnapshot().record_key_bytes;
+    server.Stop();
+  }
+  EXPECT_EQ(images[0], oracle);
+  EXPECT_EQ(images[1], images[0]);
+  EXPECT_EQ(key_bytes[1], key_bytes[0]);
+  EXPECT_GT(key_bytes[0], 0u);
 }
 
 // A logged key longer than the index accepts can only come from a damaged

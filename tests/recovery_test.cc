@@ -1,9 +1,10 @@
 // Recovery tier (persist/recovery.h): RecoverImage over every directory
 // shape the crash protocol can leave behind — empty dir, WAL-only, snapshot
 // plus tail (with stale pre-prune records), deletes in the tail,
-// last-writer-wins collapses, torn tails (legal only in the newest
-// segment), and the WalResume handoff that lets the writer continue
-// exactly where the recovered image ends.
+// last-writer-wins collapses, tail keys that tie on the sort's 8-byte
+// prefix, torn tails (legal only in the newest segment), and the
+// WalResume handoff that lets the writer continue exactly where the
+// recovered image ends.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -52,8 +54,9 @@ std::map<std::string, uint64_t> AsMap(const RecoveryResult& rec) {
   for (const RecoveredRecord& r : rec.records) {
     // Recovered images are unique and ascending by contract; insert must
     // therefore never collide.
-    auto [it, inserted] = m.emplace(r.key, r.value);
-    EXPECT_TRUE(inserted) << "duplicate key in recovered image: " << r.key;
+    std::string key(r.key_ref().ToStringView());
+    auto [it, inserted] = m.emplace(key, r.value);
+    EXPECT_TRUE(inserted) << "duplicate key in recovered image: " << key;
   }
   return m;
 }
@@ -258,6 +261,89 @@ TEST(Recovery, ResumeHandoffContinuesTheLog) {
   EXPECT_EQ(AsMap(rec2), want);
 }
 
+// Tail keys the 8-byte prefix sort cannot tell apart on the prefix alone:
+// keys shorter than 8 bytes (zero-padded, so "ab" and "ab\0" share a
+// prefix), keys equal in their first 8 bytes, embedded NULs, and one key
+// put and deleted over and over.  The tail lands on a snapshot holding
+// half of the pool, and the merged image must equal the oracle that
+// applies every op in LSN order.
+TEST(Recovery, TailSortBreaksPrefixTiesByFullKey) {
+  const std::vector<std::string> pool = {
+      std::string(),
+      std::string("a"),
+      std::string("ab"),
+      std::string("ab\0", 3),
+      std::string("ab\0\0", 4),
+      std::string("ab\0\0\0\0\0\0", 8),
+      std::string("ab\0\0\0\0\0\0\0", 9),
+      std::string("\0", 1),
+      std::string("\0\0\0\0\0\0\0\0x", 9),
+      std::string("abcdefg"),
+      std::string("abcdefgh"),
+      std::string("abcdefgh\0", 9),
+      std::string("abcdefgh\0z", 10),
+      std::string("abcdefgha"),
+      std::string("abcdefghab"),
+      std::string("abcdefgi"),
+      std::string("abcdefg\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("zz"),
+  };
+  const std::string& churn = pool[10];  // put/deleted throughout
+
+  TempDir dir;
+  std::map<std::string, uint64_t> oracle;
+  for (size_t i = 0; i < pool.size(); i += 2) oracle[pool[i]] = 1000 + i;
+  {
+    SnapshotWriter w;
+    std::string err;
+    ASSERT_TRUE(w.Open(SnapshotPath(dir.path), &err)) << err;
+    for (const auto& [key, value] : oracle) ASSERT_TRUE(w.Add(K(key), value));
+    ASSERT_TRUE(w.Finish(10, &err)) << err;
+  }
+  {
+    Wal wal;
+    std::string err;
+    Wal::Options o;
+    o.durability = Durability::kNone;
+    WalResume resume;
+    resume.next_lsn = 11;
+    ASSERT_TRUE(wal.Open(dir.path, resume, o, &err)) << err;
+    uint64_t rng = 12345;
+    for (int i = 0; i < 3000; ++i) {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      const std::string& key =
+          i % 4 == 0 ? churn : pool[(rng >> 33) % pool.size()];
+      if ((rng >> 20) % 3 == 0) {
+        wal.Append(kWalDelete, K(key), 0);
+        oracle.erase(key);
+      } else {
+        wal.Append(kWalPut, K(key), i);
+        oracle[key] = i;
+      }
+      if (i == 1500) {  // a second segment: tails span buffers
+        err.clear();
+        wal.Rotate(&err);
+        ASSERT_TRUE(err.empty()) << err;
+      }
+    }
+    ASSERT_TRUE(wal.Flush(true, &err)) << err;
+    wal.Close();
+  }
+  RecoveryResult rec;
+  std::string err;
+  ASSERT_TRUE(RecoverImage(dir.path, &rec, &err)) << err;
+  ExpectAscending(rec);
+  EXPECT_EQ(rec.wal_records_applied, 3000u);
+  EXPECT_EQ(rec.last_lsn, 3010u);
+  EXPECT_EQ(AsMap(rec), oracle);
+
+  // The views outlive a move of the result that owns their bytes.
+  RecoveryResult moved = std::move(rec);
+  EXPECT_EQ(AsMap(moved), oracle);
+}
+
 TEST(Recovery, ChecksumMatchesIndependentlyBuiltImage) {
   TempDir dir;
   {
@@ -274,8 +360,14 @@ TEST(Recovery, ChecksumMatchesIndependentlyBuiltImage) {
   std::string err;
   ASSERT_TRUE(RecoverImage(dir.path, &rec, &err)) << err;
 
+  std::vector<std::string> keys;
+  for (int i = 0; i < 100; ++i) keys.push_back(Key(i));
   std::vector<RecoveredRecord> oracle;
-  for (int i = 0; i < 100; ++i) oracle.push_back({Key(i), uint64_t(i) * 3});
+  for (int i = 0; i < 100; ++i) {
+    oracle.push_back({reinterpret_cast<const uint8_t*>(keys[i].data()),
+                      static_cast<uint32_t>(keys[i].size()),
+                      uint64_t(i) * 3});
+  }
   EXPECT_EQ(ImageChecksum(rec.records), ImageChecksum(oracle));
 
   // The checksum is order- and content-sensitive.

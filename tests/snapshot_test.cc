@@ -12,7 +12,10 @@
 
 #include <cstdio>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -114,12 +117,17 @@ TEST(Snapshot, RoundTripAuditAndScanParityAcrossAllKeyspaces) {
     // ...and bulk-build into a served trie that passes the deep audit and
     // scans back in byte-identical order.
     net::RecordStore store;
-    std::vector<uint64_t> ids;
-    ids.reserve(rec.records.size());
     for (const RecoveredRecord& rr : rec.records) {
       ASSERT_TRUE(net::KeyFitsIndex(rr.key_ref()));
-      ids.push_back(store.Append(rr.key_ref(), rr.value));
     }
+    std::optional<uint64_t> base = store.TryAppendBulk(
+        rec.records.size(), 2, [&](size_t i) {
+          return std::pair<KeyRef, uint64_t>(rec.records[i].key_ref(),
+                                             rec.records[i].value);
+        });
+    ASSERT_TRUE(base.has_value());
+    std::vector<uint64_t> ids(rec.records.size());
+    std::iota(ids.begin(), ids.end(), *base);
     RowexHotTrie<net::RecordKeyExtractor> trie{
         net::RecordKeyExtractor(&store)};
     trie.BulkLoad(ids.data(), ids.size(), 2);

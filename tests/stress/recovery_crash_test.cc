@@ -107,7 +107,7 @@ Image RecoverToImage(const std::string& dir) {
   EXPECT_TRUE(persist::RecoverImage(dir, &rec, &err)) << err;
   Image img;
   for (const persist::RecoveredRecord& r : rec.records) {
-    img.emplace(r.key, r.value);
+    img.emplace(r.key_ref().ToStringView(), r.value);
   }
   EXPECT_EQ(img.size(), rec.records.size());
   return img;

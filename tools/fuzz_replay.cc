@@ -572,7 +572,8 @@ int Run(const Args& a, const hot::testing::Trace& t) {
     if (match) {
       auto it = expect.begin();
       for (const ps::RecoveredRecord& r : rec.records) {
-        if (r.key != it->first || r.value != it->second) {
+        if (r.key_ref().ToStringView() != it->first ||
+            r.value != it->second) {
           match = false;
           break;
         }
